@@ -10,7 +10,7 @@
 //! estimates and bounded by 1.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ use archrel_model::{
 use archrel_store::ArtifactStore;
 use parking_lot::RwLock;
 
-use crate::augment::{augmented_chain, AugmentedState};
+use crate::augment::{augmented_chain_aligned, AugmentedState};
 use crate::cancel::CancelToken;
 use crate::failprob::{state_failure_probability, RequestFailure};
 pub use crate::fixedpoint::FixedPointMode;
@@ -1588,6 +1588,9 @@ impl<'a> Evaluator<'a> {
         env: &Bindings,
         ctx: &mut Ctx<'_>,
     ) -> Result<Probability> {
+        // Before any cache can answer: a tripped token wins, exactly as on
+        // the program path.
+        self.check_cancel()?;
         let key: CacheKey = (service.clone(), env.cache_key());
         if let Some(p) = ctx.memo.get(&key) {
             return Ok(*p);
@@ -1643,7 +1646,6 @@ impl<'a> Evaluator<'a> {
         env: &Bindings,
         ctx: &mut Ctx<'_>,
     ) -> Result<Probability> {
-        self.check_cancel()?;
         match self.assembly.require(service)? {
             Service::Simple(simple) => {
                 let demand = env.get(simple.formal_param()).ok_or_else(|| {
@@ -1655,11 +1657,8 @@ impl<'a> Evaluator<'a> {
             }
             Service::Composite(composite) => {
                 let states = self.resolve_states(composite, env, ctx)?;
-                let failures: BTreeMap<StateId, Probability> = states
-                    .iter()
-                    .map(|s| (s.state.clone(), s.failure))
-                    .collect();
-                let chain = augmented_chain(composite, env, &failures)?;
+                let failures: Vec<Probability> = states.iter().map(|s| s.failure).collect();
+                let chain = augmented_chain_aligned(composite, env, &failures)?;
                 let start = AugmentedState::Flow(StateId::Start);
                 let end = AugmentedState::Flow(StateId::End);
                 let solve_started = Instant::now();
@@ -2023,6 +2022,7 @@ impl<'a> Evaluator<'a> {
         acc: &mut FlowBlockAccumulator,
         out: &mut [f64],
     ) -> Result<BlockedOutcome> {
+        self.check_cancel()?;
         if !matches!(self.options.cycle_mode, CycleMode::Error) {
             // Fixed-point estimates are sweep-global state a deferred solve
             // cannot thread through: stay on the scalar engine.
@@ -2051,11 +2051,8 @@ impl<'a> Evaluator<'a> {
             }
             Service::Composite(composite) => {
                 let states = self.resolve_states(composite, env, &mut ctx)?;
-                let failures: BTreeMap<StateId, Probability> = states
-                    .iter()
-                    .map(|s| (s.state.clone(), s.failure))
-                    .collect();
-                let chain = augmented_chain(composite, env, &failures)?;
+                let failures: Vec<Probability> = states.iter().map(|s| s.failure).collect();
+                let chain = augmented_chain_aligned(composite, env, &failures)?;
                 let start = AugmentedState::Flow(StateId::Start);
                 let end = AugmentedState::Flow(StateId::End);
                 let immediate_success = match self.plan_for_chain(&chain, &start, &end) {
@@ -3355,8 +3352,8 @@ mod tests {
             .failure_probability(&"top".into(), &Bindings::new())
             .is_ok());
         token.cancel();
-        // The value cache would answer the repeated query, but the program
-        // entry checks the token first: tripped wins.
+        // The value cache would answer the repeated query, but every engine
+        // checks the token before any cache: tripped wins.
         let err = eval
             .failure_probability(&"top".into(), &Bindings::new())
             .unwrap_err();

@@ -81,20 +81,20 @@
 //! and cyclic — under every [`crate::SolverPolicy`], memo on or off, at any
 //! worker count.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use archrel_expr::{Bindings, CompiledExpr};
-use archrel_markov::{DtmcBuilder, PlanScratch, SolvePlan};
+use archrel_markov::{PlanScratch, SolvePlan};
 use archrel_model::{
-    Assembly, CompletionModel, DependencyModel, InternalFailureModel, Probability, Service,
+    Assembly, CompletionModel, DependencyModel, Flow, InternalFailureModel, Probability, Service,
     ServiceId, SimpleService, StateId,
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::augment::AugmentedState;
+use crate::augment::{build_chain, unbalanced_row, AugmentedState, ChainLayout};
 use crate::eval::{Evaluator, MAX_DEPTH};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::fixedpoint::FixedPointSolver;
@@ -163,50 +163,26 @@ struct CallNode<'a> {
 
 /// One flow state with its compiled calls.
 struct StateNode<'a> {
-    id: StateId,
     completion: CompletionModel,
     dependency: DependencyModel,
     calls: Vec<CallNode<'a>>,
 }
 
-/// One flow transition's compiled probability expression.
-#[derive(Debug)]
-struct TransNode {
-    from: StateId,
-    expr: SlottedExpr,
-}
-
-/// Transitions sharing one source state, in declaration order — the
-/// accumulation group whose sum must be one (`augmented_chain`'s
-/// `row_sums`).
-#[derive(Debug)]
-struct RowGroup {
-    state: StateId,
-    trans: Vec<usize>,
-}
-
-/// Parallel flow transitions collapsed onto one `(from, to)` chain edge, in
-/// the `BTreeMap` order `augmented_chain` declares them.
-#[derive(Debug)]
-struct MergedEdge {
-    from: StateId,
-    to: StateId,
-    trans: Vec<usize>,
-    /// Position into the node's `states` of the source state's failure
-    /// probability; `None` for `Start` (no failure by definition) and for
-    /// sources that are not request-carrying flow states.
-    from_state: Option<usize>,
-}
-
 /// Compiled form of one composite service.
 struct CompositeNode<'a> {
+    /// The flow; its dense state index addresses `states` (named states
+    /// `0..n`) and orders the row-sum checks.
+    flow: &'a Flow,
+    /// Aligned with the flow's named states.
     states: Vec<StateNode<'a>>,
-    /// Positions into `states` sorted by [`StateId`] — the iteration order
-    /// of the recursive path's `state_failures` B-tree map.
+    /// Positions into `states` in [`StateId`] order — the order the
+    /// augmented chain declares its `→ Fail` edges.
     sorted_states: Vec<usize>,
-    trans: Vec<TransNode>,
-    rows: Vec<RowGroup>,
-    merged: Vec<MergedEdge>,
+    /// Compiled probability of each flow transition, in declaration order.
+    trans: Vec<SlottedExpr>,
+    /// The augmented chain's merged edges, shared with
+    /// [`crate::augment::augmented_chain`].
+    layout: ChainLayout,
 }
 
 enum NodeKind<'a> {
@@ -934,9 +910,10 @@ impl<'a> AssemblyProgram<'a> {
 
         // Phase 2 — transition probabilities, validated per edge then per
         // row exactly like `augmented_chain` (same literals, same order).
+        let flow = comp.flow;
         scratch.trans_vals.clear();
-        for t in &comp.trans {
-            let p = t.expr.eval(&rt.inputs[base..base + arity], &mut rt.stack)?;
+        for (expr, t) in comp.trans.iter().zip(flow.transitions()) {
+            let p = expr.eval(&rt.inputs[base..base + arity], &mut rt.stack)?;
             if !(0.0..=1.0 + 1e-9).contains(&p) {
                 return Err(CoreError::BadTransitions {
                     service: self.nodes[node].id.to_string(),
@@ -946,33 +923,21 @@ impl<'a> AssemblyProgram<'a> {
             }
             scratch.trans_vals.push(p);
         }
-        for row in &comp.rows {
-            let mut sum = 0.0;
-            for &ti in &row.trans {
-                sum += scratch.trans_vals[ti];
-            }
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(CoreError::BadTransitions {
-                    service: self.nodes[node].id.to_string(),
-                    state: row.state.to_string(),
-                    sum,
-                });
-            }
+        if let Some((s, sum)) = unbalanced_row(flow, &scratch.trans_vals) {
+            return Err(CoreError::BadTransitions {
+                service: self.nodes[node].id.to_string(),
+                state: flow.id_at(s).to_string(),
+                sum,
+            });
         }
 
         // Phase 3 — merge parallel edges and scale by `1 − p(from, Fail)`.
-        scratch.merged_vals.clear();
-        for m in &comp.merged {
-            let mut p = 0.0;
-            for &ti in &m.trans {
-                p += scratch.trans_vals[ti];
-            }
-            let failure = match m.from_state {
-                None => Probability::ZERO,
-                Some(si) => scratch.state_failures[si],
-            };
-            scratch.merged_vals.push(p * failure.complement().value());
-        }
+        comp.layout.edge_values(
+            flow,
+            &scratch.trans_vals,
+            &scratch.state_failures,
+            &mut scratch.merged_vals,
+        );
         scratch.fail_vals.clear();
         for &si in &comp.sorted_states {
             scratch.fail_vals.push(scratch.state_failures[si].value());
@@ -990,7 +955,7 @@ impl<'a> AssemblyProgram<'a> {
                 evaluator,
                 comp,
                 &scratch.merged_vals,
-                &scratch.fail_vals,
+                &scratch.state_failures,
             )?);
         }
         let cache = scratch.chain.as_mut().expect("chain cache just ensured");
@@ -1012,45 +977,25 @@ impl<'a> AssemblyProgram<'a> {
     }
 
     /// Builds a fresh chain + slot map for the current numeric values,
-    /// replaying `augmented_chain`'s builder sequence exactly.
+    /// through `augmented_chain`'s own builder sequence.
     fn build_chain_cache(
         &self,
         evaluator: &Evaluator<'a>,
         comp: &CompositeNode<'a>,
         merged_vals: &[f64],
-        fail_vals: &[f64],
+        failures: &[Probability],
     ) -> Result<ChainCache> {
-        let mut builder = DtmcBuilder::new()
-            .state(AugmentedState::Flow(StateId::End))
-            .state(AugmentedState::Fail);
-        for (m, &p) in comp.merged.iter().zip(merged_vals) {
-            builder = builder.transition(
-                AugmentedState::Flow(m.from.clone()),
-                AugmentedState::Flow(m.to.clone()),
-                p,
-            );
-        }
-        for (&si, &f) in comp.sorted_states.iter().zip(fail_vals) {
-            if f == 0.0 {
-                continue;
-            }
-            builder = builder.transition(
-                AugmentedState::Flow(comp.states[si].id.clone()),
-                AugmentedState::Fail,
-                f,
-            );
-        }
-        let chain = builder.build()?;
+        let flow = comp.flow;
+        let chain = build_chain(flow, &comp.layout, merged_vals, failures)?;
+        let label = |s: usize| AugmentedState::Flow(flow.id_at(s).clone());
         let edge_slots = comp
-            .merged
+            .layout
+            .edges
             .iter()
             .zip(merged_vals)
-            .map(|(m, &p)| {
+            .map(|(&(from, to), &p)| {
                 if p > 0.0 {
-                    chain.edge_position(
-                        &AugmentedState::Flow(m.from.clone()),
-                        &AugmentedState::Flow(m.to.clone()),
-                    )
+                    chain.edge_position(&label(from), &label(to))
                 } else {
                     None
                 }
@@ -1059,13 +1004,9 @@ impl<'a> AssemblyProgram<'a> {
         let fail_slots = comp
             .sorted_states
             .iter()
-            .zip(fail_vals)
-            .map(|(&si, &f)| {
-                if f > 0.0 {
-                    chain.edge_position(
-                        &AugmentedState::Flow(comp.states[si].id.clone()),
-                        &AugmentedState::Fail,
-                    )
+            .map(|&si| {
+                if failures[si].value() > 0.0 {
+                    chain.edge_position(&label(si), &AugmentedState::Fail)
                 } else {
                     None
                 }
@@ -1323,59 +1264,34 @@ impl<'a> ProgramBuilder<'a> {
                         });
                     }
                     states.push(StateNode {
-                        id: state.id.clone(),
                         completion: state.completion,
                         dependency: state.dependency,
                         calls,
                     });
                 }
 
-                let mut trans = Vec::with_capacity(flow.transitions().len());
-                let mut rows: BTreeMap<StateId, Vec<usize>> = BTreeMap::new();
-                let mut merged_map: BTreeMap<(StateId, StateId), Vec<usize>> = BTreeMap::new();
-                for (i, t) in flow.transitions().iter().enumerate() {
-                    trans.push(TransNode {
-                        from: t.from.clone(),
-                        expr: SlottedExpr::compile(&t.probability, &formals)?,
-                    });
-                    rows.entry(t.from.clone()).or_default().push(i);
-                    merged_map
-                        .entry((t.from.clone(), t.to.clone()))
-                        .or_default()
-                        .push(i);
-                }
-                let rows = rows
-                    .into_iter()
-                    .map(|(state, trans)| RowGroup { state, trans })
+                let trans = flow
+                    .transitions()
+                    .iter()
+                    .map(|t| SlottedExpr::compile(&t.probability, &formals))
+                    .collect::<Result<Vec<_>>>()?;
+                let named = states.len();
+                let sorted_states = flow
+                    .id_order()
+                    .iter()
+                    .copied()
+                    .filter(|&s| s < named)
                     .collect();
-                let merged = merged_map
-                    .into_iter()
-                    .map(|((from, to), trans)| {
-                        let from_state = match &from {
-                            StateId::Start => None,
-                            named => states.iter().position(|s: &StateNode<'a>| s.id == *named),
-                        };
-                        MergedEdge {
-                            from,
-                            to,
-                            trans,
-                            from_state,
-                        }
-                    })
-                    .collect();
-
-                let mut sorted_states: Vec<usize> = (0..states.len()).collect();
-                sorted_states.sort_by(|&a, &b| states[a].id.cmp(&states[b].id));
 
                 Ok(Node {
                     id: service.clone(),
                     formals,
                     kind: NodeKind::Composite(CompositeNode {
+                        flow,
                         states,
                         sorted_states,
                         trans,
-                        rows,
-                        merged,
+                        layout: ChainLayout::new(flow),
                     }),
                 })
             }
@@ -1434,8 +1350,8 @@ fn collect_root_inputs(root: &Node<'_>) -> Vec<RootInput> {
                     }
                 }
             }
-            for t in &comp.trans {
-                push_expr(&t.expr);
+            for expr in &comp.trans {
+                push_expr(expr);
             }
         }
     }

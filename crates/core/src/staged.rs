@@ -28,7 +28,7 @@
 //! scaling), in the same order — staged and generic results are therefore
 //! bitwise identical, not merely close.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use archrel_expr::{Bindings, Expr};
@@ -38,7 +38,7 @@ use archrel_model::{
     Service, ServiceCall, ServiceId, SimpleService, StateId,
 };
 
-use crate::augment::{augmented_chain, AugmentedState};
+use crate::augment::{augmented_chain_aligned, AugmentedState, ChainLayout};
 use crate::eval::{EvalOptions, PlanCache, PlanEntry, SolverPolicy};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::improvement::{scale_failure_model, scale_internal_model, Lever};
@@ -257,8 +257,10 @@ impl StagedSweep {
         let mut simples: Vec<SimpleEntry> = Vec::new();
         let mut calls: Vec<CallRecipe> = Vec::new();
         let mut states: Vec<StateRecipe> = Vec::new();
-        let mut state_recipe_of: BTreeMap<StateId, usize> = BTreeMap::new();
-        for state in composite.flow().states() {
+        let flow = composite.flow();
+        // Recipe of each named flow state, aligned with the flow's index.
+        let mut state_recipe_of: Vec<usize> = Vec::with_capacity(flow.states().len());
+        for state in flow.states() {
             let mut call_idx = Vec::with_capacity(state.calls.len());
             for call in &state.calls {
                 let Some(recipe) = compile_call(assembly, call, env, &mut simples)? else {
@@ -285,7 +287,7 @@ impl StagedSweep {
                     states.len() - 1
                 }
             };
-            state_recipe_of.insert(state.id.clone(), idx);
+            state_recipe_of.push(idx);
         }
 
         // Baseline per-recipe requests and state failure probabilities —
@@ -307,10 +309,10 @@ impl StagedSweep {
         }
 
         // Transition table + merged edges, replicating the augment step's
-        // evaluation order, validation, and BTreeMap merge order.
+        // evaluation order and validation over its chain layout.
         let mut transitions = Vec::new();
         let mut trans_base = Vec::new();
-        for t in composite.flow().transitions() {
+        for t in flow.transitions() {
             let p = t.probability.eval(env)?;
             if !(0.0..=1.0 + 1e-9).contains(&p) {
                 return Err(CoreError::BadTransitions {
@@ -323,18 +325,19 @@ impl StagedSweep {
                 from: t.from.clone(),
                 expr: t.probability.clone(),
             });
-            trans_base.push((t.from.clone(), t.to.clone(), p));
+            trans_base.push(p);
         }
-        let mut row_map: BTreeMap<StateId, Vec<usize>> = BTreeMap::new();
-        for (ti, (from, _, _)) in trans_base.iter().enumerate() {
-            row_map.entry(from.clone()).or_default().push(ti);
-        }
-        let rows: Vec<RowCheck> = row_map
-            .into_iter()
-            .map(|(from, trans)| RowCheck { from, trans })
+        let rows: Vec<RowCheck> = flow
+            .id_order()
+            .iter()
+            .filter(|&&s| !flow.outgoing_at(s).is_empty())
+            .map(|&s| RowCheck {
+                from: flow.id_at(s).clone(),
+                trans: flow.outgoing_at(s).to_vec(),
+            })
             .collect();
         for rc in &rows {
-            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + trans_base[ti].2);
+            let sum: f64 = rc.trans.iter().fold(0.0, |s, &ti| s + trans_base[ti]);
             if (sum - 1.0).abs() > 1e-9 {
                 return Err(CoreError::BadTransitions {
                     service: composite.id().to_string(),
@@ -343,26 +346,14 @@ impl StagedSweep {
                 });
             }
         }
-        let mut merged: BTreeMap<(StateId, StateId), (f64, Vec<usize>)> = BTreeMap::new();
-        for (ti, (from, to, p)) in trans_base.iter().enumerate() {
-            let slot = merged.entry((from.clone(), to.clone())).or_default();
-            slot.0 += p;
-            slot.1.push(ti);
-        }
-        let mut edges = Vec::with_capacity(merged.len());
-        let mut edge_of: BTreeMap<(StateId, StateId), usize> = BTreeMap::new();
-        for ((from, to), (base_p, trans)) in merged {
-            let state = match &from {
-                StateId::Start => None,
-                named => match state_recipe_of.get(named) {
-                    Some(&idx) => Some(idx),
-                    // A source state outside the flow's state list would be
-                    // failure-free in augment; the builder rejects such
-                    // flows, so just decline to stage.
-                    None => return Ok(None),
-                },
-            };
-            edge_of.insert((from, to), edges.len());
+        let layout = ChainLayout::new(flow);
+        let mut edges = Vec::with_capacity(layout.edges.len());
+        let mut edge_of: HashMap<(usize, usize), usize> = HashMap::new();
+        for (e, &(from, to)) in layout.edges.iter().enumerate() {
+            let trans = layout.merged(e).to_vec();
+            let base_p = trans.iter().fold(0.0, |s, &ti| s + trans_base[ti]);
+            let state = (from != flow.start_index()).then(|| state_recipe_of[from]);
+            edge_of.insert((from, to), e);
             edges.push(EdgeRecipe {
                 base_p,
                 trans,
@@ -374,11 +365,8 @@ impl StagedSweep {
         // The real baseline chain and its plan. Going through the same
         // augment + cache entry the evaluator uses guarantees the staged
         // fingerprint matches the generic path's.
-        let failures: BTreeMap<StateId, Probability> = state_recipe_of
-            .iter()
-            .map(|(id, &i)| (id.clone(), base_fps[i]))
-            .collect();
-        let chain = augmented_chain(composite, env, &failures)?;
+        let failures: Vec<Probability> = state_recipe_of.iter().map(|&r| base_fps[r]).collect();
+        let chain = augmented_chain_aligned(composite, env, &failures)?;
         let start = AugmentedState::Flow(StateId::Start);
         let end = AugmentedState::Flow(StateId::End);
         let fingerprint = structure_fingerprint(&chain, &start, &end);
@@ -401,13 +389,14 @@ impl StagedSweep {
             for (to, _) in successors {
                 match (from, to) {
                     (AugmentedState::Flow(f), AugmentedState::Flow(t)) => {
-                        match edge_of.get(&(f.clone(), t.clone())) {
+                        let edge = flow.index_of(f).zip(flow.index_of(t));
+                        match edge.and_then(|ft| edge_of.get(&ft)) {
                             Some(&ei) => edges[ei].slot = Some(slot),
                             None => return Ok(None),
                         }
                     }
                     (AugmentedState::Flow(f), AugmentedState::Fail) => {
-                        match state_recipe_of.get(f) {
+                        match flow.index_of(f).and_then(|i| state_recipe_of.get(i)) {
                             Some(&si) => fail_slots.push((si, slot)),
                             None => return Ok(None),
                         }

@@ -334,6 +334,23 @@ impl<S: StateLabel> DtmcBuilder<S> {
         self
     }
 
+    /// Adds a transition between two declared states, addressed by their
+    /// declaration index; otherwise exactly [`DtmcBuilder::transition`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when either index is not a declared state.
+    #[must_use]
+    pub fn transition_at(mut self, from: usize, to: usize, probability: f64) -> Self {
+        let n = self.states.len();
+        assert!(
+            from < n && to < n,
+            "edge {from} -> {to} outside {n} declared states"
+        );
+        self.edges.push((from, to, probability));
+        self
+    }
+
     /// Validates and builds the chain.
     ///
     /// # Errors
@@ -405,6 +422,26 @@ mod tests {
         let c = simple_chain();
         assert_eq!(c.states(), &["a", "b", "c"]);
         assert_eq!(c.index_of(&"b"), Some(1));
+    }
+
+    #[test]
+    fn indexed_transitions_match_labelled_ones() {
+        let by_index = DtmcBuilder::new()
+            .state("a")
+            .state("b")
+            .state("c")
+            .transition_at(0, 1, 0.5)
+            .transition_at(0, 2, 0.5)
+            .transition_at(1, 2, 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(by_index, simple_chain());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1 declared states")]
+    fn indexed_transition_to_undeclared_state_panics() {
+        let _ = DtmcBuilder::new().state("a").transition_at(0, 1, 1.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -235,11 +235,42 @@ pub struct Transition {
 
 /// The probabilistic flow (usage profile) of a composite service: a DTMC
 /// skeleton whose nodes carry sets of service requests (paper §2, Fig. 1–2).
+///
+/// Every flow carries one dense state index, built once by
+/// [`FlowBuilder::build`]: the named states are `0..n` in declaration
+/// order, [`StateId::Start`] is `n` and [`StateId::End`] is `n + 1`. Each
+/// state's outgoing transitions are stored as a CSR row of transition
+/// indices in declaration order, so validation and walks run in `O(S + T)`
+/// for `S` states and `T` transitions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "FlowBuilder", into = "FlowBuilder")]
 pub struct Flow {
     states: Vec<FlowState>,
     transitions: Vec<Transition>,
+    index: FlowIndex,
 }
+
+/// The dense state index of a [`Flow`]; a function of its states and
+/// transitions.
+#[derive(Debug, Clone, PartialEq)]
+struct FlowIndex {
+    /// Named state name → index.
+    by_name: HashMap<Arc<str>, usize>,
+    /// `(from, to)` state indices of every transition, in declaration order.
+    ends: Vec<(usize, usize)>,
+    /// CSR offsets: the outgoing transitions of state `i` are
+    /// `out[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Transition indices grouped by source state, each group in
+    /// declaration order.
+    out: Vec<usize>,
+    /// Every state index in [`StateId`] order: `Start`, `End`, then the
+    /// named states by name.
+    id_order: Vec<usize>,
+}
+
+static START: StateId = StateId::Start;
+static END: StateId = StateId::End;
 
 impl Flow {
     /// The named states (in declaration order).
@@ -249,7 +280,10 @@ impl Flow {
 
     /// Looks up a named state.
     pub fn state(&self, id: &StateId) -> Option<&FlowState> {
-        self.states.iter().find(|s| &s.id == id)
+        match id {
+            StateId::Named(name) => self.index.by_name.get(name).map(|&i| &self.states[i]),
+            StateId::Start | StateId::End => None,
+        }
     }
 
     /// All transitions.
@@ -257,9 +291,65 @@ impl Flow {
         &self.transitions
     }
 
-    /// Outgoing transitions of a state.
-    pub fn outgoing<'a>(&'a self, from: &'a StateId) -> impl Iterator<Item = &'a Transition> + 'a {
-        self.transitions.iter().filter(move |t| &t.from == from)
+    /// Outgoing transitions of a state, in declaration order.
+    pub fn outgoing<'a>(&'a self, from: &StateId) -> impl Iterator<Item = &'a Transition> + 'a {
+        let row = self.index_of(from).map_or(&[][..], |i| self.outgoing_at(i));
+        row.iter().map(move |&t| &self.transitions[t])
+    }
+
+    /// Number of indexed states: the named states plus `Start` and `End`.
+    pub fn index_len(&self) -> usize {
+        self.states.len() + 2
+    }
+
+    /// Index of [`StateId::Start`].
+    pub fn start_index(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Index of [`StateId::End`].
+    pub fn end_index(&self) -> usize {
+        self.states.len() + 1
+    }
+
+    /// Index of a state, if it belongs to the flow.
+    pub fn index_of(&self, id: &StateId) -> Option<usize> {
+        match id {
+            StateId::Start => Some(self.start_index()),
+            StateId::End => Some(self.end_index()),
+            StateId::Named(name) => self.index.by_name.get(name).copied(),
+        }
+    }
+
+    /// The state at index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.index_len()`.
+    pub fn id_at(&self, i: usize) -> &StateId {
+        id_at(&self.states, i)
+    }
+
+    /// `(from, to)` state indices of every transition, aligned with
+    /// [`Flow::transitions`].
+    pub fn transition_ends(&self) -> &[(usize, usize)] {
+        &self.index.ends
+    }
+
+    /// Indices (into [`Flow::transitions`]) of the outgoing transitions of
+    /// state `i`, in declaration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.index_len()`.
+    pub fn outgoing_at(&self, i: usize) -> &[usize] {
+        &self.index.out[self.index.offsets[i]..self.index.offsets[i + 1]]
+    }
+
+    /// Every state index in [`StateId`] order: `Start` and `End` first, then
+    /// the named states sorted by name.
+    pub fn id_order(&self) -> &[usize] {
+        &self.index.id_order
     }
 
     /// Every service id referenced by any call or connector in the flow.
@@ -274,6 +364,36 @@ impl Flow {
             }
         }
         out
+    }
+}
+
+/// The id of index `i` over `states` (`Start` is `n`, `End` is `n + 1`).
+fn id_at(states: &[FlowState], i: usize) -> &StateId {
+    match i.checked_sub(states.len()) {
+        None => &states[i].id,
+        Some(0) => &START,
+        Some(1) => &END,
+        Some(_) => panic!(
+            "state index {i} out of range for {} states",
+            states.len() + 2
+        ),
+    }
+}
+
+impl TryFrom<FlowBuilder> for Flow {
+    type Error = ModelError;
+
+    fn try_from(builder: FlowBuilder) -> Result<Flow> {
+        builder.build()
+    }
+}
+
+impl From<Flow> for FlowBuilder {
+    fn from(flow: Flow) -> FlowBuilder {
+        FlowBuilder {
+            states: flow.states,
+            transitions: flow.transitions,
+        }
     }
 }
 
@@ -302,7 +422,7 @@ impl Flow {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowBuilder {
     states: Vec<FlowState>,
     transitions: Vec<Transition>,
@@ -362,18 +482,18 @@ impl FlowBuilder {
             service: "<unattached flow>".to_string(),
             reason,
         };
+        let n = self.states.len();
+        let (start, end) = (n, n + 1);
 
-        let mut seen = BTreeSet::new();
-        for s in &self.states {
-            match &s.id {
-                StateId::Named(_) => {}
-                other => {
-                    return Err(malformed(format!(
-                        "state `{other}` is reserved and cannot carry calls"
-                    )))
-                }
-            }
-            if !seen.insert(s.id.clone()) {
+        let mut by_name: HashMap<Arc<str>, usize> = HashMap::with_capacity(n);
+        for (i, s) in self.states.iter().enumerate() {
+            let StateId::Named(name) = &s.id else {
+                return Err(malformed(format!(
+                    "state `{}` is reserved and cannot carry calls",
+                    s.id
+                )));
+            };
+            if by_name.insert(name.clone(), i).is_some() {
                 return Err(malformed(format!("duplicate state `{}`", s.id)));
             }
             if let CompletionModel::KOutOfN { k } = s.completion {
@@ -386,26 +506,28 @@ impl FlowBuilder {
             }
         }
 
-        let known = |id: &StateId| match id {
-            StateId::Start | StateId::End => true,
-            named => seen.contains(named),
+        let index_of = |id: &StateId| match id {
+            StateId::Start => Some(start),
+            StateId::End => Some(end),
+            StateId::Named(name) => by_name.get(name).copied(),
         };
+        let mut ends = Vec::with_capacity(self.transitions.len());
         for t in &self.transitions {
-            if !known(&t.from) {
+            let Some(from) = index_of(&t.from) else {
                 return Err(malformed(format!(
                     "transition from unknown state `{}`",
                     t.from
                 )));
-            }
-            if !known(&t.to) {
+            };
+            let Some(to) = index_of(&t.to) else {
                 return Err(malformed(format!("transition to unknown state `{}`", t.to)));
-            }
-            if t.from == StateId::End {
+            };
+            if from == end {
                 return Err(malformed(
                     "End state has an outgoing transition".to_string(),
                 ));
             }
-            if t.to == StateId::Start {
+            if to == start {
                 return Err(malformed(
                     "Start state has an incoming transition".to_string(),
                 ));
@@ -418,66 +540,95 @@ impl FlowBuilder {
                     )));
                 }
             }
+            ends.push((from, to));
         }
 
-        // Outgoing coverage: Start and every named state must emit.
-        let mut has_outgoing: BTreeMap<StateId, bool> = BTreeMap::new();
-        has_outgoing.insert(StateId::Start, false);
-        for s in &self.states {
-            has_outgoing.insert(s.id.clone(), false);
+        // CSR rows by a counting sort on the source, which keeps each row in
+        // declaration order.
+        let mut offsets = vec![0; n + 3];
+        for &(from, _) in &ends {
+            offsets[from + 1] += 1;
         }
-        for t in &self.transitions {
-            if let Some(flag) = has_outgoing.get_mut(&t.from) {
-                *flag = true;
-            }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        for (id, emitted) in &has_outgoing {
-            if !emitted {
+        let mut next = offsets.clone();
+        let mut out = vec![0; ends.len()];
+        for (t, &(from, _)) in ends.iter().enumerate() {
+            out[next[from]] = t;
+            next[from] += 1;
+        }
+        let row = |i: usize| &out[offsets[i]..offsets[i + 1]];
+
+        let mut id_order = Vec::with_capacity(n + 2);
+        id_order.extend([start, end]);
+        id_order.extend(0..n);
+        id_order[2..].sort_unstable_by(|&a, &b| self.states[a].id.cmp(&self.states[b].id));
+        let id = |i: usize| id_at(&self.states, i);
+
+        // Outgoing coverage: Start and every named state must emit. Rows are
+        // visited in `StateId` order so the first defect reported is stable.
+        for &i in &id_order {
+            if i != end && row(i).is_empty() {
                 return Err(malformed(format!(
-                    "state `{id}` has no outgoing transition"
+                    "state `{}` has no outgoing transition",
+                    id(i)
                 )));
             }
         }
 
         // Constant-only rows must sum to one.
-        for id in has_outgoing.keys() {
-            let outgoing: Vec<&Transition> =
-                self.transitions.iter().filter(|t| &t.from == id).collect();
-            let consts: Vec<f64> = outgoing
+        for &i in &id_order {
+            if i == end {
+                continue;
+            }
+            let consts = row(i)
                 .iter()
-                .filter_map(|t| t.probability.as_const())
-                .collect();
-            if consts.len() == outgoing.len() {
-                let sum: f64 = consts.iter().sum();
+                .map(|&t| self.transitions[t].probability.as_const());
+            if consts.clone().all(|p| p.is_some()) {
+                let sum: f64 = consts.flatten().sum();
                 if (sum - 1.0).abs() > 1e-9 {
                     return Err(malformed(format!(
-                        "outgoing probabilities of `{id}` sum to {sum}"
+                        "outgoing probabilities of `{}` sum to {sum}",
+                        id(i)
                     )));
                 }
             }
         }
 
         // End reachable from Start (ignoring probabilities).
-        let mut reached: BTreeSet<StateId> = BTreeSet::new();
-        let mut queue = VecDeque::from([StateId::Start]);
-        reached.insert(StateId::Start);
-        while let Some(v) = queue.pop_front() {
-            for t in self.transitions.iter().filter(|t| t.from == v) {
-                if reached.insert(t.to.clone()) {
-                    queue.push_back(t.to.clone());
+        let mut reached = vec![false; n + 2];
+        reached[start] = true;
+        let mut stack = vec![start];
+        while let Some(v) = stack.pop() {
+            for &t in row(v) {
+                let to = ends[t].1;
+                if !reached[to] {
+                    reached[to] = true;
+                    stack.push(to);
                 }
             }
         }
-        if !reached.contains(&StateId::End) {
+        if !reached[end] {
             return Err(malformed("End is unreachable from Start".to_string()));
         }
 
         Ok(Flow {
             states: self.states,
             transitions: self.transitions,
+            index: FlowIndex {
+                by_name,
+                ends,
+                offsets,
+                out,
+                id_order,
+            },
         })
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

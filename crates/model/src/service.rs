@@ -88,37 +88,37 @@ impl CompositeService {
         // Every expression in the flow may only mention declared formals.
         let declared: std::collections::BTreeSet<&str> =
             formal_params.iter().map(String::as_str).collect();
-        let check = |expr: &archrel_expr::Expr, what: &str| -> Result<()> {
-            for p in expr.free_params() {
-                if !declared.contains(p.as_str()) {
-                    return Err(ModelError::MalformedFlow {
-                        service: id.to_string(),
-                        reason: format!("{what} references undeclared parameter `{p}`"),
-                    });
-                }
+        // The context text is only formatted once a check has failed.
+        let check = |expr: &archrel_expr::Expr, what: &dyn Fn() -> String| -> Result<()> {
+            match expr
+                .free_params()
+                .into_iter()
+                .find(|p| !declared.contains(p.as_str()))
+            {
+                None => Ok(()),
+                Some(p) => Err(ModelError::MalformedFlow {
+                    service: id.to_string(),
+                    reason: format!("{} references undeclared parameter `{p}`", what()),
+                }),
             }
-            Ok(())
         };
         for t in flow.transitions() {
-            check(
-                &t.probability,
-                &format!("transition `{}` -> `{}`", t.from, t.to),
-            )?;
+            check(&t.probability, &|| {
+                format!("transition `{}` -> `{}`", t.from, t.to)
+            })?;
         }
         for state in flow.states() {
             for call in &state.calls {
                 for (name, expr) in &call.actual_params {
-                    check(
-                        expr,
-                        &format!("actual parameter `{name}` of `{}`", call.target),
-                    )?;
+                    check(expr, &|| {
+                        format!("actual parameter `{name}` of `{}`", call.target)
+                    })?;
                 }
                 if let Some(c) = &call.connector {
                     for (name, expr) in &c.actual_params {
-                        check(
-                            expr,
-                            &format!("connector parameter `{name}` of `{}`", c.connector),
-                        )?;
+                        check(expr, &|| {
+                            format!("connector parameter `{name}` of `{}`", c.connector)
+                        })?;
                     }
                 }
             }
@@ -230,7 +230,11 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ModelError::MalformedFlow { .. }));
-        assert!(err.to_string().contains("size"));
+        assert!(
+            err.to_string()
+                .contains("actual parameter `n` of `cpu` references undeclared parameter `size`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -246,6 +250,11 @@ mod tests {
             .unwrap();
         let err = CompositeService::new("svc", vec![], flow).unwrap_err();
         assert!(matches!(err, ModelError::MalformedFlow { .. }));
+        assert!(
+            err.to_string()
+                .contains("transition `Start` -> `a` references undeclared parameter `q`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -263,7 +272,12 @@ mod tests {
             .build()
             .unwrap();
         let err = CompositeService::new("search", vec!["list".to_string()], flow).unwrap_err();
-        assert!(err.to_string().contains("bytes"));
+        assert!(
+            err.to_string().contains(
+                "connector parameter `ip` of `rpc` references undeclared parameter `bytes`"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
