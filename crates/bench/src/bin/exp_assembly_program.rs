@@ -157,9 +157,9 @@ row has no sub-service memoization at all, so it re-evaluates shared nodes \
 once per path (the recursive walk does memoize per point, which is why \
 memo-off trails it). The memo row adds the per-service memo keyed by the \
 exact actual-parameter bit pattern: the instrumented sweep answered \
-{memo_hits} sub-service invocations from memo against {memo_misses} \
-computed ({memo_rate:.1}% memo rate), with {compiled} program(s) compiled \
-once for the whole sweep.\n\n\
+{memo_hits} composite invocations from memo against {memo_misses} \
+computed ({memo_rate:.1}% memo rate; leaves are always computed \
+directly), with {compiled} program(s) compiled once for the whole sweep.\n\n\
 ## Acceptance\n\n\
 The ≥3× bar on the shared-DAG {POINTS}-point sweep is {verdict}: the \
 compiled program path retires {speedup:.1}× more points per second than the \

@@ -996,6 +996,32 @@ mod tests {
         assert_eq!(recursive.to_bits(), program.to_bits());
     }
 
+    /// One point of the depth-6 / width-3 sweep: each of the 19 composites
+    /// misses once and every further composite call (3 from `app`, 2 from
+    /// each of the 15 upper-layer nodes, 33 in all, minus the 18 first
+    /// visits) hits. The 34 lookups are exactly the root plus the
+    /// composite calls: the CPU leaves never touch the memo.
+    #[test]
+    fn shared_dag_point_memoizes_composites_only() {
+        use archrel_core::{EvalOptions, ProgramMode};
+        let assembly = shared_dag_assembly(6, 3, 2).unwrap();
+        let evaluator = Evaluator::with_options(
+            &assembly,
+            EvalOptions {
+                program: ProgramMode::On,
+                ..EvalOptions::default()
+            },
+        );
+        evaluator
+            .failure_probability(&"app".into(), &Bindings::new().with("work", 1e5))
+            .unwrap();
+        let stats = evaluator.cache_stats();
+        assert_eq!(stats.memo_misses, 19, "{stats:?}");
+        assert_eq!(stats.memo_hits, 15, "{stats:?}");
+        assert_eq!(stats.pin_hits, 0, "{stats:?}");
+        assert_eq!(stats.memo_evictions, 0, "{stats:?}");
+    }
+
     #[test]
     fn recursive_mesh_assembly_agrees_between_program_and_recursive_paths() {
         use archrel_core::{CycleMode, EvalOptions, ProgramMode};

@@ -201,6 +201,7 @@ impl<'a> BatchEvaluator<'a> {
                 plan_evictions: after.plan_evictions - before.plan_evictions,
                 memo_hits: after.memo_hits - before.memo_hits,
                 memo_misses: after.memo_misses - before.memo_misses,
+                memo_evictions: after.memo_evictions - before.memo_evictions,
                 pin_hits: after.pin_hits - before.pin_hits,
                 programs_compiled: after.programs_compiled - before.programs_compiled,
                 fixed_point_sweeps: after.fixed_point_sweeps - before.fixed_point_sweeps,

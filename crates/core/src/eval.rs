@@ -280,7 +280,7 @@ pub struct EvalOptions {
     /// [`CycleMode::FixedPoint`] evaluations (the program's global
     /// fixed-point driver on cyclic targets).
     pub program: ProgramMode,
-    /// Whether assembly programs answer repeated sub-service invocations
+    /// Whether assembly programs answer repeated composite invocations
     /// from their per-service memo tables (bit-exact parameter keys, so
     /// disabling this never changes a result — it only re-evaluates).
     pub program_memo: bool,
@@ -402,12 +402,18 @@ pub struct CacheStats {
     /// Compiled plans evicted from the bounded plan cache (LRU on structure
     /// fingerprint).
     pub plan_evictions: u64,
-    /// Assembly-program node evaluations answered by a per-service memo
-    /// table (bit-exact actual-parameter key).
+    /// Assembly-program composite-node evaluations answered by a
+    /// per-service memo table (bit-exact actual-parameter key). Simple
+    /// (closed-form) services never consult the memo, so they count in
+    /// neither this nor [`CacheStats::memo_misses`].
     pub memo_hits: u64,
-    /// Assembly-program node evaluations that had to compute (and then
-    /// populated the memo).
+    /// Assembly-program composite-node evaluations that had to compute
+    /// (and then populated the memo).
     pub memo_misses: u64,
+    /// Assembly-program memo entries dropped because a per-service table
+    /// reached [`PROGRAM_MEMO_CAPACITY`] (a full table is cleared before
+    /// its next insert).
+    pub memo_evictions: u64,
     /// Assembly-program node evaluations answered by a dirty-cone pin: the
     /// node sits outside the declared varied-parameter cone and its inputs
     /// compared bit-equal to the pinned evaluation.
@@ -497,6 +503,7 @@ impl CacheStats {
             plan_evictions,
             memo_hits,
             memo_misses,
+            memo_evictions,
             pin_hits,
             programs_compiled,
             fixed_point_sweeps,
@@ -525,6 +532,7 @@ impl CacheStats {
         self.plan_evictions = self.plan_evictions.saturating_add(plan_evictions);
         self.memo_hits = self.memo_hits.saturating_add(memo_hits);
         self.memo_misses = self.memo_misses.saturating_add(memo_misses);
+        self.memo_evictions = self.memo_evictions.saturating_add(memo_evictions);
         self.pin_hits = self.pin_hits.saturating_add(pin_hits);
         self.programs_compiled = self.programs_compiled.saturating_add(programs_compiled);
         self.fixed_point_sweeps = self.fixed_point_sweeps.saturating_add(fixed_point_sweeps);
@@ -573,6 +581,7 @@ impl CacheCounters {
             plan_evictions: 0,
             memo_hits: 0,
             memo_misses: 0,
+            memo_evictions: 0,
             pin_hits: 0,
             programs_compiled: 0,
             fixed_point_sweeps: self.fixed_point_sweeps.load(Ordering::Relaxed),
@@ -661,6 +670,12 @@ struct PlanSlot {
 /// arise in long multi-assembly batch runs, exactly the workloads the bound
 /// protects from unbounded growth.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
+
+/// Entries each composite service's assembly-program memo table holds
+/// before it is cleared (counted in [`CacheStats::memo_evictions`]). Well
+/// above one sweep's distinct points per service, so sweeps never evict;
+/// the bound only caps a long-lived evaluator fed ever-new bindings.
+pub const PROGRAM_MEMO_CAPACITY: usize = 8192;
 
 impl Default for PlanCache {
     fn default() -> Self {
@@ -1231,12 +1246,7 @@ impl<'a> Evaluator<'a> {
         stats.programs_compiled = self.programs_compiled.load(Ordering::Relaxed);
         for slot in self.programs.read().values() {
             if let ProgramSlot::Ready(program) = slot {
-                let (memo_hits, memo_misses, pin_hits) = program.counter_snapshot();
-                stats.memo_hits += memo_hits;
-                stats.memo_misses += memo_misses;
-                stats.pin_hits += pin_hits;
-                stats.program_loop_sccs += program.loop_scc_count() as u64;
-                stats.scc_iterations += program.scc_iteration_total();
+                program.fold_counters(&mut stats);
             }
         }
         stats
@@ -1255,12 +1265,7 @@ impl<'a> Evaluator<'a> {
         stats.programs_compiled = self.programs_compiled.load(Ordering::Relaxed);
         for slot in self.programs.read().values() {
             if let ProgramSlot::Ready(program) = slot {
-                let (memo_hits, memo_misses, pin_hits) = program.counter_snapshot();
-                stats.memo_hits += memo_hits;
-                stats.memo_misses += memo_misses;
-                stats.pin_hits += pin_hits;
-                stats.program_loop_sccs += program.loop_scc_count() as u64;
-                stats.scc_iterations += program.scc_iteration_total();
+                program.fold_counters(&mut stats);
             }
         }
         stats
@@ -3187,11 +3192,49 @@ mod tests {
         assert_eq!(eval.cache_stats().hits, 1);
     }
 
+    /// `app(n)` runs `cpu(n)` and then `lib(500)`; `lib(m)` runs `cpu(m)`.
+    /// Varying `n` leaves the composite `lib` outside the dirty cone.
+    fn constant_library_assembly() -> Assembly {
+        let lib = FlowBuilder::new()
+            .state(FlowState::new(
+                "run",
+                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("m"))],
+            ))
+            .transition(StateId::Start, "run", Expr::one())
+            .transition("run", StateId::End, Expr::one())
+            .build()
+            .unwrap();
+        let app = FlowBuilder::new()
+            .state(FlowState::new(
+                "work",
+                vec![ServiceCall::new("cpu").with_param(catalog::CPU_PARAM, Expr::param("n"))],
+            ))
+            .state(FlowState::new(
+                "lib",
+                vec![ServiceCall::new("lib").with_param("m", Expr::num(500.0))],
+            ))
+            .transition(StateId::Start, "work", Expr::one())
+            .transition("work", "lib", Expr::one())
+            .transition("lib", StateId::End, Expr::one())
+            .build()
+            .unwrap();
+        AssemblyBuilder::new()
+            .service(catalog::cpu_resource("cpu", 1e9, 1e-7))
+            .service(Service::Composite(
+                CompositeService::new("lib", vec!["m".into()], lib).unwrap(),
+            ))
+            .service(Service::Composite(
+                CompositeService::new("app", vec!["n".into()], app).unwrap(),
+            ))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn declared_varied_parameters_pin_out_of_cone_services() {
-        use archrel_model::paper;
-        let assembly = paper::remote_assembly(&paper::PaperParams::default()).unwrap();
-        let service: ServiceId = paper::SEARCH.into();
+        let assembly = constant_library_assembly();
+        let service: ServiceId = "app".into();
+        let env = |i: u32| Bindings::new().with("n", 64.0 * f64::from(i));
         let eval = Evaluator::with_options(
             &assembly,
             EvalOptions {
@@ -3202,13 +3245,10 @@ mod tests {
         eval.declare_varied(&service, &["n".to_string()]);
         let baseline: Vec<u64> = (1..=8)
             .map(|i| {
-                eval.failure_probability(
-                    &service,
-                    &paper::search_bindings(4.0, 64.0 * i as f64, 1.0),
-                )
-                .unwrap()
-                .value()
-                .to_bits()
+                eval.failure_probability(&service, &env(i))
+                    .unwrap()
+                    .value()
+                    .to_bits()
             })
             .collect();
         let stats = eval.cache_stats();
@@ -3225,15 +3265,48 @@ mod tests {
             },
         );
         for (i, want) in (1..=8).zip(baseline) {
-            let r = off
-                .failure_probability(&service, &paper::search_bindings(4.0, 64.0 * i as f64, 1.0))
-                .unwrap();
+            let r = off.failure_probability(&service, &env(i)).unwrap();
             assert_eq!(want, r.value().to_bits(), "point {i}");
         }
         // Clearing the declaration reverts to the hashed memo.
         eval.clear_varied(&service);
-        eval.failure_probability(&service, &paper::search_bindings(4.0, 4096.0, 1.0))
-            .unwrap();
+        eval.failure_probability(&service, &env(64)).unwrap();
+    }
+
+    #[test]
+    fn program_memo_tables_stay_bounded_on_a_long_lived_evaluator() {
+        let assembly = constant_library_assembly();
+        let service: ServiceId = "app".into();
+        let with_program = |program| {
+            Evaluator::with_options(
+                &assembly,
+                EvalOptions {
+                    program,
+                    ..EvalOptions::default()
+                },
+            )
+        };
+        let (eval, off) = (
+            with_program(ProgramMode::On),
+            with_program(ProgramMode::Off),
+        );
+        let points = PROGRAM_MEMO_CAPACITY + 100;
+        for i in 0..points {
+            let env = Bindings::new().with("n", 1.0 + i as f64);
+            let got = eval.failure_probability(&service, &env).unwrap();
+            let want = off.failure_probability(&service, &env).unwrap();
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "point {i}");
+        }
+        let program = eval.program(&service).expect("program forced on");
+        assert!(program.max_memo_len() <= PROGRAM_MEMO_CAPACITY);
+        // `app` filled its table once and cleared it; `lib` holds one entry.
+        let stats = eval.cache_stats();
+        assert_eq!(
+            stats.memo_evictions, PROGRAM_MEMO_CAPACITY as u64,
+            "{stats:?}"
+        );
+        assert_eq!(stats.memo_misses, points as u64 + 1, "{stats:?}");
+        assert_eq!(stats.memo_hits, points as u64 - 1, "{stats:?}");
     }
 
     #[test]

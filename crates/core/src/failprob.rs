@@ -86,9 +86,8 @@ pub fn state_failure_probability(
     let p = match dependency {
         DependencyModel::Independent => {
             // Success probability of each request: (1 - Pint)(1 - Pext).
-            let successes: Vec<Probability> =
-                requests.iter().map(|r| r.total().complement()).collect();
-            Probability::at_least(k, &successes).complement()
+            let successes = requests.iter().map(|r| r.total().complement());
+            Probability::at_least_iter(k, successes).complement()
         }
         DependencyModel::Shared => {
             // Condition on the external-failure event (eqs. 9-10):
@@ -96,14 +95,16 @@ pub fn state_failure_probability(
             //   given an external failure, all requests fail (no repair);
             //   given none, requests fail independently with Pint_j.
             let no_ext = Probability::all(requests.iter().map(|r| r.external.complement()));
-            let internal_successes: Vec<Probability> =
-                requests.iter().map(|r| r.internal.complement()).collect();
-            let k_succeed_given_no_ext = Probability::at_least(k, &internal_successes);
+            let internal_successes = requests.iter().map(|r| r.internal.complement());
+            let k_succeed_given_no_ext = Probability::at_least_iter(k, internal_successes);
             no_ext.both(k_succeed_given_no_ext).complement()
         }
     };
     Ok(p)
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -81,6 +81,7 @@ pub use eval::{
     parse_plan_lanes_env_value, plan_lanes_from_env, CacheStats, CycleMode, EvalOptions, Evaluator,
     FixedPointMode, PlanCache, ProgramMode, SolverPolicy, ValueCache, AUTO_PROGRAM_MIN_SEEN,
     DEFAULT_FIXED_POINT_MAX_ITERATIONS, DEFAULT_FIXED_POINT_TOLERANCE, DEFAULT_PLAN_CACHE_CAPACITY,
+    PROGRAM_MEMO_CAPACITY,
 };
 pub use failprob::{state_failure_probability, RequestFailure};
 pub use program::AssemblyProgram;

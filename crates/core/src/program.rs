@@ -30,12 +30,17 @@
 //!   [`archrel_markov::SolvePlan`] for the structure is pinned per runtime
 //!   instead of re-looked-up by fingerprint.
 //!
-//! On top of the program sit two caches:
+//! On top of the program sit two caches, both for composite services
+//! only — a simple (closed-form) service is one `exp` or `powf`, cheaper
+//! than building a key and probing a table, so it is always evaluated
+//! directly:
 //!
 //! - a per-service **memo table** keyed by the quantized (bit-exact,
 //!   [`f64::to_bits`]) actual-parameter vector, so sub-services shared
 //!   across the DAG or across nearby sweep points are evaluated once
-//!   ([`crate::CacheStats::memo_hits`] / `memo_misses`);
+//!   ([`crate::CacheStats::memo_hits`] / `memo_misses`). Each table holds
+//!   at most [`crate::PROGRAM_MEMO_CAPACITY`] entries; an insert into a
+//!   full table first clears it ([`crate::CacheStats::memo_evictions`]);
 //! - **dirty-cone pinning** for sweeps that vary a declared parameter
 //!   subset ([`crate::Evaluator::declare_varied`]): services outside the
 //!   varied parameters' dependency cone skip the hashed memo entirely and
@@ -95,7 +100,7 @@ use archrel_model::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::augment::{build_chain, unbalanced_row, AugmentedState, ChainLayout};
-use crate::eval::{Evaluator, MAX_DEPTH};
+use crate::eval::{CacheStats, Evaluator, MAX_DEPTH, PROGRAM_MEMO_CAPACITY};
 use crate::failprob::{state_failure_probability, RequestFailure};
 use crate::fixedpoint::FixedPointSolver;
 use crate::{CoreError, Result};
@@ -319,7 +324,9 @@ pub struct AssemblyProgram<'a> {
     cycle: Option<Vec<String>>,
     /// Per-SCC count of fixed-point member updates (estimate refreshes).
     scc_iters: Vec<AtomicU64>,
-    /// Per-node memo tables keyed by the quantized input-register vector.
+    /// Per-node memo tables keyed by the quantized input-register vector;
+    /// only composite nodes use theirs, each bounded by
+    /// [`PROGRAM_MEMO_CAPACITY`].
     memo: Vec<RwLock<HashMap<Box<[u64]>, Probability>>>,
     /// Dirty cone: `in_cone[node]` when the node's result can depend on a
     /// declared-varied parameter; `None` when no declaration was made
@@ -328,6 +335,7 @@ pub struct AssemblyProgram<'a> {
     runtimes: Mutex<Vec<Runtime>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
+    memo_evictions: AtomicU64,
     pin_hits: AtomicU64,
 }
 
@@ -409,6 +417,7 @@ impl<'a> AssemblyProgram<'a> {
             runtimes: Mutex::new(Vec::new()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
+            memo_evictions: AtomicU64::new(0),
             pin_hits: AtomicU64::new(0),
         })
     }
@@ -418,19 +427,6 @@ impl<'a> AssemblyProgram<'a> {
     /// [`crate::CycleMode::FixedPoint`].
     pub fn has_cycles(&self) -> bool {
         self.cycle.is_some()
-    }
-
-    /// Number of nontrivial (cyclic) SCCs in the condensation.
-    pub(crate) fn loop_scc_count(&self) -> usize {
-        self.loop_sccs
-    }
-
-    /// Total fixed-point member updates across all SCCs so far.
-    pub(crate) fn scc_iteration_total(&self) -> u64 {
-        self.scc_iters
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// The target service this program evaluates.
@@ -528,13 +524,25 @@ impl<'a> AssemblyProgram<'a> {
         fingerprints
     }
 
-    /// Memo / pin counter snapshot: `(memo_hits, memo_misses, pin_hits)`.
-    pub(crate) fn counter_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-            self.pin_hits.load(Ordering::Relaxed),
-        )
+    /// Adds this program's memo, pin and fixed-point counters into
+    /// `stats`.
+    pub(crate) fn fold_counters(&self, stats: &mut CacheStats) {
+        stats.memo_hits += self.memo_hits.load(Ordering::Relaxed);
+        stats.memo_misses += self.memo_misses.load(Ordering::Relaxed);
+        stats.memo_evictions += self.memo_evictions.load(Ordering::Relaxed);
+        stats.pin_hits += self.pin_hits.load(Ordering::Relaxed);
+        stats.program_loop_sccs += self.loop_sccs as u64;
+        stats.scc_iterations += self
+            .scc_iters
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .sum::<u64>();
+    }
+
+    /// Entries held by the largest per-node memo table.
+    #[cfg(test)]
+    pub(crate) fn max_memo_len(&self) -> usize {
+        self.memo.iter().map(|t| t.read().len()).max().unwrap_or(0)
     }
 
     /// Evaluates `Pfail(target, env)` — bitwise identical to the recursive
@@ -667,12 +675,12 @@ impl<'a> AssemblyProgram<'a> {
         Err(solver.diverged())
     }
 
-    /// Evaluates one node whose registers sit at `inputs[base..]`,
-    /// answering from the memo table (in-cone) or the pin (out-of-cone)
-    /// when possible. Inside a fixed-point sweep (`fp`), loop-cone nodes
-    /// detour through [`AssemblyProgram::eval_loop_node`]; everything
-    /// outside the loop cone is estimate-independent and keeps the
-    /// persistent caches.
+    /// Evaluates one node whose registers sit at `inputs[base..]`. A
+    /// simple node is evaluated directly; a composite is answered from the
+    /// memo table (in-cone) or the pin (out-of-cone) when possible. Inside
+    /// a fixed-point sweep (`fp`), loop-cone nodes detour through
+    /// [`AssemblyProgram::eval_loop_node`]; everything outside the loop
+    /// cone is estimate-independent and keeps the persistent caches.
     #[allow(clippy::too_many_arguments)]
     fn eval_node(
         &self,
@@ -684,6 +692,9 @@ impl<'a> AssemblyProgram<'a> {
         base: usize,
         fp: Option<&mut FpSweep<'_>>,
     ) -> Result<Probability> {
+        if let NodeKind::Simple(simple) = &self.nodes[node].kind {
+            return Ok(simple.failure_probability(rt.inputs[base])?);
+        }
         if let Some(sweep) = fp {
             if self.loop_cone[node] {
                 return self.eval_loop_node(evaluator, rt, cone, memo_on, node, base, sweep);
@@ -729,7 +740,13 @@ impl<'a> AssemblyProgram<'a> {
             .iter()
             .map(|v| v.to_bits())
             .collect();
-        self.memo[node].write().insert(key, p);
+        let mut table = self.memo[node].write();
+        if table.len() >= PROGRAM_MEMO_CAPACITY && !table.contains_key(&key) {
+            self.memo_evictions
+                .fetch_add(table.len() as u64, Ordering::Relaxed);
+            table.clear();
+        }
+        table.insert(key, p);
         Ok(p)
     }
 
@@ -772,6 +789,11 @@ impl<'a> AssemblyProgram<'a> {
         Ok(p)
     }
 
+    /// Computes one composite node with its scratch detached, so recursion
+    /// can borrow `rt` freely. A *cyclic* program can re-enter a node that
+    /// is already detached (with different inputs, below the cycle break);
+    /// the inner frame then sees a default scratch — a wasted chain
+    /// rebuild, but sound, and the outer restore wins.
     #[allow(clippy::too_many_arguments)]
     fn compute_node(
         &self,
@@ -783,30 +805,11 @@ impl<'a> AssemblyProgram<'a> {
         base: usize,
         fp: Option<&mut FpSweep<'_>>,
     ) -> Result<Probability> {
-        match &self.nodes[node].kind {
-            NodeKind::Simple(simple) => Ok(simple.failure_probability(rt.inputs[base])?),
-            NodeKind::Composite(_) => {
-                // Detach the node's scratch so recursion can borrow `rt`
-                // freely. A *cyclic* program can re-enter a node that is
-                // already detached (with different inputs, below the cycle
-                // break); the inner frame then sees a default scratch — a
-                // wasted chain rebuild, but sound, and the outer restore
-                // wins.
-                let mut scratch = std::mem::take(&mut rt.nodes[node]);
-                let result = self.compute_composite(
-                    evaluator,
-                    rt,
-                    cone,
-                    memo_on,
-                    node,
-                    base,
-                    &mut scratch,
-                    fp,
-                );
-                rt.nodes[node] = scratch;
-                result
-            }
-        }
+        let mut scratch = std::mem::take(&mut rt.nodes[node]);
+        let result =
+            self.compute_composite(evaluator, rt, cone, memo_on, node, base, &mut scratch, fp);
+        rt.nodes[node] = scratch;
+        result
     }
 
     /// The compiled replay of `eval_service` + `augmented_chain` for one

@@ -72,6 +72,9 @@ impl fmt::Display for CacheStats {
                 self.pin_hits,
                 self.memo_hit_rate() * 100.0
             )?;
+            if self.memo_evictions > 0 {
+                write!(f, ", {} memo evictions", self.memo_evictions)?;
+            }
         }
         if self.fixed_point_sweeps > 0 {
             write!(f, "; fixed point: {} sweeps", self.fixed_point_sweeps)?;

@@ -100,29 +100,39 @@ impl Probability {
     /// natural extension of AND/OR in §3.2).
     ///
     /// Computed by dynamic programming over the Poisson-binomial
-    /// distribution; `O(n·k)` time.
+    /// distribution; `O(n·k)` time. Same as [`Probability::at_least_iter`]
+    /// over the slice.
     pub fn at_least(k: usize, probs: &[Probability]) -> Probability {
-        let n = probs.len();
+        Probability::at_least_iter(k, probs.iter().copied())
+    }
+
+    /// [`Probability::at_least`] over an iterator of event probabilities,
+    /// so callers can feed derived probabilities without collecting them.
+    ///
+    /// The DP runs on stack buffers while `k + 1 <= 32` and allocates one
+    /// heap buffer only beyond that.
+    pub fn at_least_iter<I>(k: usize, probs: I) -> Probability
+    where
+        I: IntoIterator<Item = Probability>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        const STACK: usize = 32;
+        let probs = probs.into_iter();
         if k == 0 {
             return Probability::ONE;
         }
-        if k > n {
+        if k > probs.len() {
             return Probability::ZERO;
         }
-        // dp[j] = P(j successes so far), with bucket k absorbing "k or more".
-        let mut dp = vec![0.0_f64; k + 1];
-        dp[0] = 1.0;
-        for p in probs {
-            let p = p.0;
-            let mut next = vec![0.0_f64; k + 1];
-            next[k] = dp[k]; // mass at the cap never leaves
-            for j in 0..k {
-                next[j] += dp[j] * (1.0 - p);
-                next[j + 1] += dp[j] * p;
-            }
-            dp = next;
+        if k < STACK {
+            let mut dp = [0.0_f64; STACK];
+            let mut next = [0.0_f64; STACK];
+            at_least_dp(probs, &mut dp[..=k], &mut next[..=k])
+        } else {
+            let mut buf = vec![0.0_f64; 2 * (k + 1)];
+            let (dp, next) = buf.split_at_mut(k + 1);
+            at_least_dp(probs, dp, next)
         }
-        Probability(dp[k].clamp(0.0, 1.0))
     }
 
     /// Whether the probability is exactly zero.
@@ -134,6 +144,29 @@ impl Probability {
     pub fn is_one(self) -> bool {
         self.0 == 1.0
     }
+}
+
+/// The Poisson-binomial DP behind [`Probability::at_least_iter`]:
+/// `dp[j] = P(j successes so far)`, with the last bucket absorbing "k or
+/// more". `dp` and `next` have length `k + 1` and arrive zeroed.
+fn at_least_dp<'b>(
+    probs: impl Iterator<Item = Probability>,
+    mut dp: &'b mut [f64],
+    mut next: &'b mut [f64],
+) -> Probability {
+    let k = dp.len() - 1;
+    dp[0] = 1.0;
+    for p in probs {
+        let p = p.0;
+        next.fill(0.0);
+        next[k] = dp[k]; // mass at the cap never leaves
+        for j in 0..k {
+            next[j] += dp[j] * (1.0 - p);
+            next[j + 1] += dp[j] * p;
+        }
+        std::mem::swap(&mut dp, &mut next);
+    }
+    Probability(dp[k].clamp(0.0, 1.0))
 }
 
 impl Default for Probability {

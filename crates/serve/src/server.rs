@@ -719,6 +719,7 @@ fn execute_control(shared: &Shared, request: &Request) -> Result<JsonValue, Prot
                 ("rank1_solves", num(stats.rank1_solves)),
                 ("full_solves", num(stats.full_solves)),
                 ("memo_hits", num(stats.memo_hits)),
+                ("memo_evictions", num(stats.memo_evictions)),
                 ("pin_hits", num(stats.pin_hits)),
                 ("programs_compiled", num(stats.programs_compiled)),
                 ("store_hits", num(stats.store_hits)),
